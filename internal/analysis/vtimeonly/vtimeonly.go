@@ -35,6 +35,7 @@ var simulationPackages = map[string]bool{
 	"history":   true,
 	"health":    true,
 	"attr":      true,
+	"walk":      true,
 }
 
 // bannedTime are the time functions that sample or schedule against the

@@ -216,8 +216,8 @@ func (img *Image) CreateSnap(at vtime.Time, name string) (uint64, vtime.Time, er
 	if img.parentLayer() != nil {
 		// The flatten record is persisted before any data moves, so this
 		// probe cannot miss an in-flight walk.
-		if _, found, end, err := loadFlattenProgress(at, img); err != nil {
-			return 0, at, err
+		if found, _, end, err := FlattenActive(at, img); err != nil {
+			return 0, end, err
 		} else if found {
 			return 0, end, ErrFlattenActive
 		}

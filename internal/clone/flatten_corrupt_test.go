@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/rados"
 	"repro/internal/rbd"
+	"repro/internal/walk"
 )
 
 // TestFlattenCorruptCursorRestartsCleanly corrupts the flatten cursor
@@ -55,8 +56,8 @@ func TestFlattenCorruptCursorRestartsCleanly(t *testing.T) {
 	if res[0].Status != rados.StatusOK {
 		t.Fatalf("raw omap set: %v", res[0].Status)
 	}
-	if _, _, _, err := loadFlattenProgress(0, c); !errors.Is(err, rbd.ErrCorruptCursor) {
-		t.Fatalf("loadFlattenProgress: %v, want ErrCorruptCursor", err)
+	if _, _, err := c.enc.Image().LoadCursor(0, flattenKey, &FlattenProgress{}); !errors.Is(err, rbd.ErrCorruptCursor) {
+		t.Fatalf("LoadCursor: %v, want ErrCorruptCursor", err)
 	}
 
 	c2, _, err := Open(0, cl, "rbd", "c", keys)
@@ -114,7 +115,7 @@ func TestFlattenOutOfRangeCursorRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	objects := c.enc.ObjectCount()
-	bogus := FlattenProgress{NextObj: objects + 7, Objects: objects + 9}
+	bogus := FlattenProgress{Cursor: walk.Cursor{NextObj: objects + 7, Objects: objects + 9}}
 	if _, err := c.enc.Image().SaveCursor(0, flattenKey, bogus); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/rados"
 	"repro/internal/rbd"
+	"repro/internal/walk"
 )
 
 // scribbleProgress overwrites the persisted rekey cursor with raw bytes,
@@ -59,8 +60,8 @@ func TestResumeCorruptCursorRestartsCleanly(t *testing.T) {
 			scribbleProgress(t, e, tc.raw)
 
 			// The raw load must classify as corrupt, not as "no rekey".
-			if _, _, _, err := loadProgress(0, e); !errors.Is(err, rbd.ErrCorruptCursor) {
-				t.Fatalf("loadProgress: %v, want ErrCorruptCursor", err)
+			if _, _, err := e.Image().LoadCursor(0, progressKey, &Progress{}); !errors.Is(err, rbd.ErrCorruptCursor) {
+				t.Fatalf("LoadCursor: %v, want ErrCorruptCursor", err)
 			}
 
 			e2 := reload(t, e)
@@ -132,9 +133,9 @@ func TestResumeOutOfRangeCursorRestarts(t *testing.T) {
 		name string
 		prog Progress
 	}{
-		{"next-beyond-domain", Progress{From: 0, To: 1, NextObj: objects + 5, Objects: objects + 10}},
-		{"negative-next", Progress{From: 0, To: 1, NextObj: -3, Objects: objects}},
-		{"wrong-domain", Progress{From: 0, To: 1, NextObj: 0, Objects: objects * 100}},
+		{"next-beyond-domain", Progress{From: 0, To: 1, Cursor: walk.Cursor{NextObj: objects + 5, Objects: objects + 10}}},
+		{"negative-next", Progress{From: 0, To: 1, Cursor: walk.Cursor{NextObj: -3, Objects: objects}}},
+		{"wrong-domain", Progress{From: 0, To: 1, Cursor: walk.Cursor{NextObj: 0, Objects: objects * 100}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := e.Image().SaveCursor(0, progressKey, tc.prog); err != nil {

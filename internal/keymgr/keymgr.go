@@ -4,15 +4,12 @@
 // encryption cannot have (§1, §4). A Rekeyer mints the next key epoch in
 // the image's LUKS-style container, then walks the image object by
 // object — under live IO — re-sealing every block still carrying the old
-// epoch tag. New writes always seal under the newest epoch, so the
-// walker and the workload converge; progress is persisted in the image
-// header's OMAP after every object, so a crashed client resumes where it
-// left off instead of restarting a multi-terabyte sweep. When the walk
-// completes, the retired epoch's wrapped key is destroyed: from that
-// moment nothing — not even a passphrase holder — can decrypt data that
-// was sealed under it (including pre-rekey snapshot clones), which is
-// the LUKS2 "online re-encryption journal" workflow collapsed into a
-// metadata tag plus a background walker.
+// epoch tag (an internal/walk walk). New writes always seal under the
+// newest epoch, so the walker and the workload converge. When the walk
+// completes, the retired epoch's wrapped key is destroyed: from then on
+// nothing — not even a passphrase holder — can decrypt data sealed
+// under it (including pre-rekey snapshot clones): the LUKS2 "online
+// re-encryption journal" workflow as a metadata tag plus a walker.
 //
 // The control plane (this package: key ops, progress records) is
 // deliberately separate from the offloadable datapath (internal/core's
@@ -25,9 +22,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/luks"
-	"repro/internal/rbd"
 	"repro/internal/telemetry"
 	"repro/internal/vtime"
+	"repro/internal/walk"
 )
 
 // progressKey is the header-OMAP key holding the persisted rekey cursor.
@@ -41,244 +38,108 @@ var (
 	ErrNoRekey = errors.New("keymgr: no rekey in progress")
 )
 
+var kind = walk.NewKind(walk.Kind{Name: "rekey", Key: progressKey, Verb: "resealed",
+	Help: "blocks re-sealed under the target epoch", ErrActive: ErrRekeyActive, ErrNone: ErrNoRekey,
+	Started: telemetry.EventRekeyStart, Finished: telemetry.EventRekeyFinish})
+
 // Progress is the persisted rekey cursor.
 type Progress struct {
-	From    uint32 `json:"from"`     // retiring epoch
-	To      uint32 `json:"to"`       // target epoch (container current)
-	NextObj int64  `json:"next_obj"` // first object not yet walked
-	Objects int64  `json:"objects"`  // walk domain, fixed at Start
-	// Rekeyed counts blocks re-sealed so far (informational; not part of
-	// crash-safety — the walker re-derives per-block work from epoch tags).
+	From uint32 `json:"from"` // retiring epoch
+	To   uint32 `json:"to"`   // target epoch (container current)
+	walk.Cursor
+	// Blocks re-sealed so far (informational).
 	Rekeyed int64 `json:"rekeyed"`
 }
 
-// Done reports whether the walk has covered every object.
-func (p Progress) Done() bool { return p.NextObj >= p.Objects }
+// walker embeds the engine as an unexported field; it promotes SetPace, Step and Run.
+type walker = walk.Walk
 
-// valid reports whether a decoded cursor is internally coherent and
-// matches the image's walk domain; anything else gets the same
-// restart-from-scratch treatment as an undecodable record.
-func (p Progress) valid(objects int64) bool {
-	return p.NextObj >= 0 && p.NextObj <= p.Objects && p.Objects == objects
-}
-
-// Rekeyer drives one epoch transition on one image.
+// Rekeyer drives one epoch transition on one image: SetPace, then Step
+// or Run (re-seal one object per step, then destroy the retired keys).
 type Rekeyer struct {
+	walker
 	img  *core.EncryptedImage
 	prog Progress
-	pace *vtime.Pacer
-	met  walkerMetrics
 }
 
-// newRekeyer binds a walker to its image-labeled progress gauges.
 func newRekeyer(img *core.EncryptedImage, prog Progress) *Rekeyer {
-	return &Rekeyer{img: img, prog: prog, met: newWalkerMetrics(img.Image().Name())}
+	r := &Rekeyer{img: img, prog: prog}
+	r.walker = walk.New(kind, img.Image(), &r.prog, &r.prog.Rekeyed, r.rekeyObject, r.dropRetired)
+	return r
 }
-
-// SetPace installs a virtual-time admission budget (IOPS + bytes/s caps)
-// on the walker, bounding its interference on foreground IO the way
-// Ceph's osd_recovery limits bound recovery. A nil pacer removes the
-// cap. The same pacer may be shared with other walkers (e.g. a clone
-// flatten) to cap their combined rate.
-func (r *Rekeyer) SetPace(p *vtime.Pacer) { r.pace = p }
 
 // Progress returns the current cursor.
 func (r *Rekeyer) Progress() Progress { return r.prog }
 
-// loadProgress reads the persisted cursor, reporting found=false when no
-// rekey is in flight. The on-disk protocol is rbd's shared walker-cursor
-// record (one JSON blob per walker in the header OMAP).
-func loadProgress(at vtime.Time, img *core.EncryptedImage) (Progress, bool, vtime.Time, error) {
-	var p Progress
-	found, end, err := img.Image().LoadCursor(at, progressKey, &p)
-	if err != nil {
-		return Progress{}, false, at, err
-	}
-	return p, found, end, nil
-}
-
-func (r *Rekeyer) persist(at vtime.Time) (vtime.Time, error) {
-	return r.img.Image().SaveCursor(at, progressKey, r.prog)
-}
-
-func (r *Rekeyer) clearProgress(at vtime.Time) (vtime.Time, error) {
-	return r.img.Image().ClearCursor(at, progressKey)
-}
-
-// Start begins the next epoch transition. The progress record is
-// persisted FIRST (the durable statement of intent), then epoch N+1 is
-// minted and persisted in the container — every write from there on
-// seals under it. A crash between the two leaves a record targeting an
-// epoch the container does not have yet; Resume detects that and
-// finishes Start's job, so no transition can be stranded half-begun
-// with the retiring key left alive forever. The data walk happens in
-// Step/Run.
+// Start begins the next epoch transition: the progress record is
+// persisted FIRST, then epoch N+1 is minted and every write seals under
+// it. A crash between the two leaves a record targeting an epoch the
+// container lacks; Resume finishes Start's job.
 func Start(at vtime.Time, img *core.EncryptedImage) (*Rekeyer, vtime.Time, error) {
-	if _, found, end, err := loadProgress(at, img); err != nil {
-		return nil, at, err
-	} else if found {
-		return nil, end, ErrRekeyActive
-	}
 	from := img.CurrentEpoch()
-	r := newRekeyer(img, Progress{From: from, To: from + 1, Objects: img.ObjectCount()})
-	at, err := r.persist(at)
-	if err != nil {
-		return nil, at, err
-	}
-	r.publish(at)
-	to, at, err := img.BeginEpoch(at)
-	if err != nil {
-		// BeginEpoch refused (legacy geometry, persist failure, ...):
-		// withdraw the intent record so the image is not wedged behind
-		// ErrRekeyActive forever.
-		if end, cerr := r.clearProgress(at); cerr == nil {
-			at = end
-		}
-		return nil, at, err
-	}
-	if to != r.prog.To {
-		if end, cerr := r.clearProgress(at); cerr == nil {
-			at = end
-		}
-		return nil, at, fmt.Errorf("keymgr: container minted epoch %d, progress record expected %d", to, r.prog.To)
-	}
-	telemetry.Log.Append(at, telemetry.EventRekeyStart, img.Image().Name(), "epoch transition", int64(to))
-	return r, at, nil
+	r := newRekeyer(img, Progress{From: from, To: from + 1})
+	return walk.Start(at, r, img.ObjectCount(), r.mint)
 }
 
-// Resume reattaches to an interrupted rekey on a freshly loaded image —
-// the crash-recovery path. Normally the container already carries both
-// epochs; if the crash hit between Start's progress record and the
-// container persist, the target epoch is minted now. The walker then
-// continues from the persisted cursor; any object the crashed walker
-// half-skipped is re-examined block by block, which is idempotent
-// because re-sealing keys off the per-block epoch tags.
+func (r *Rekeyer) mint(at vtime.Time) (vtime.Time, error) {
+	to, at, err := r.img.BeginEpoch(at)
+	if err == nil && to != r.prog.To {
+		err = fmt.Errorf("keymgr: container minted epoch %d, progress record expected %d", to, r.prog.To)
+	}
+	return at, err
+}
+
+// Resume reattaches to an interrupted rekey on a freshly loaded image,
+// minting the target epoch if the crash hit inside Start. A lost record
+// restarts as a full walk toward the current epoch, whose completion
+// destroys every other epoch, the lost record's retiring one included.
 func Resume(at vtime.Time, img *core.EncryptedImage) (*Rekeyer, vtime.Time, error) {
-	p, found, at, err := loadProgress(at, img)
-	switch {
-	case errors.Is(err, rbd.ErrCorruptCursor):
-		return restartFromCorrupt(at, img)
-	case err != nil:
-		return nil, at, err
-	case !found:
-		return nil, at, ErrNoRekey
-	case !p.valid(img.ObjectCount()):
-		return restartFromCorrupt(at, img)
-	}
-	switch cur := img.CurrentEpoch(); {
-	case cur == p.To:
-		// Normal resume.
-	case cur == p.From:
-		// Crashed inside Start: the intent is durable but the epoch is
-		// not. Mint it and carry on.
-		to, end, err := img.BeginEpoch(at)
-		if err != nil {
-			return nil, at, err
-		}
-		at = end
-		if to != p.To {
-			return nil, at, fmt.Errorf("keymgr: container minted epoch %d, progress record expected %d", to, p.To)
-		}
-	default:
-		return nil, at, fmt.Errorf("keymgr: progress targets epoch %d but container is at %d (Abort to discard the record and Start a fresh transition)", p.To, cur)
-	}
-	r := newRekeyer(img, p)
-	r.publish(at)
-	return r, at, nil
-}
-
-// restartFromCorrupt replaces an undecodable (or out-of-domain) rekey
-// cursor with a full re-walk toward the container's current epoch. The
-// record's existence proves a transition was in flight; its position is
-// lost. Walking every object from zero is safe — re-sealing keys off
-// per-block epoch tags, so already-converted blocks are no-ops — and
-// completion destroys every non-target epoch, which includes whatever
-// retired key the lost record was retiring. The fresh record is
-// persisted immediately so a second crash resumes normally.
-func restartFromCorrupt(at vtime.Time, img *core.EncryptedImage) (*Rekeyer, vtime.Time, error) {
 	cur := img.CurrentEpoch()
-	r := newRekeyer(img, Progress{From: cur, To: cur, Objects: img.ObjectCount()})
-	at, err := r.persist(at)
+	r := newRekeyer(img, Progress{})
+	_, at, err := walk.Resume(at, r, img.ObjectCount(), func() { r.prog = Progress{From: cur, To: cur} })
+	if err == nil && cur != r.prog.To {
+		if cur == r.prog.From { // crashed inside Start: the intent is durable, the epoch is not
+			at, err = r.mint(at)
+		} else {
+			err = fmt.Errorf("keymgr: progress targets epoch %d but container is at %d (Abort to discard the record and Start a fresh transition)", r.prog.To, cur)
+		}
+	}
 	if err != nil {
 		return nil, at, err
 	}
-	r.publish(at)
 	return r, at, nil
 }
 
-// Abort withdraws an image's rekey progress record without touching any
-// keys — the recovery path when out-of-band epoch changes left a record
-// no Resume can reattach to. Blocks keep whatever epoch tag they carry
-// (all tagged epochs stay live, so nothing becomes unreadable); the next
-// completed transition re-seals them and destroys every retired epoch.
+// Abort withdraws an image's rekey record without touching any keys,
+// for a record no Resume can reattach to; the next completed
+// transition re-seals the blocks and destroys the retired epochs.
 func Abort(at vtime.Time, img *core.EncryptedImage) (vtime.Time, error) {
-	r := newRekeyer(img, Progress{})
-	return r.clearProgress(at)
+	return img.Image().ClearCursor(at, progressKey)
 }
 
-// Step processes one object (or finishes the transition when every
-// object is walked: the retired epoch's key is destroyed and the
-// progress record removed). It returns done=true once the transition is
-// fully complete.
-func (r *Rekeyer) Step(at vtime.Time) (done bool, end vtime.Time, err error) {
-	if r.prog.Done() {
-		// The walk re-sealed every block not already at To, so EVERY
-		// older live epoch is now unreferenced on the head — destroy them
-		// all, not just From (an earlier aborted transition may have left
-		// an orphan). ErrEpochUnknown is tolerated so a crash between
-		// DropEpoch and clearProgress re-finishes cleanly.
-		for _, ep := range r.img.Epochs() {
-			if ep == r.prog.To {
-				continue
-			}
-			if at, err = r.img.DropEpoch(at, ep); err != nil && !errors.Is(err, luks.ErrEpochUnknown) {
-				return false, at, err
-			}
-		}
-		at, err = r.clearProgress(at)
-		if err == nil {
-			r.publish(at)
-			telemetry.Log.Append(at, telemetry.EventRekeyFinish, r.img.Image().Name(), "blocks re-sealed", r.prog.Rekeyed)
-		}
-		return err == nil, at, err
+func (r *Rekeyer) rekeyObject(at vtime.Time, obj int64, pace *vtime.Pacer) (int64, vtime.Time, error) {
+	n, at, err := r.img.RekeyObject(at, obj)
+	if err == nil {
+		pace.Charge(2 * int64(n) * r.img.Options().BlockSize) // read + re-write
 	}
-	// Pacing: one walker op is admitted against the budget up front; the
-	// bytes actually re-sealed (unknown until the object was examined)
-	// are charged afterwards as debt against the next admission.
-	n, at, err := r.img.RekeyObject(r.pace.Admit(at, 0), r.prog.NextObj)
-	if err != nil {
-		return false, at, err
-	}
-	r.pace.Charge(2 * int64(n) * r.img.Options().BlockSize) // read + re-write
-	r.prog.NextObj++
-	r.prog.Rekeyed += int64(n)
-	r.met.blocks.Add(int64(n))
-	at, err = r.persist(at)
-	r.publish(at)
-	return false, at, err
+	return int64(n), at, err
 }
 
-// Run drives Step until the transition completes. It is the paced
-// background-walker entry point: idle virtual time between rekey IOs is
-// whatever the caller's clock does — the walker itself consumes client
-// crypto and cluster resources exactly like foreground IO, so fio
-// workloads measured concurrently see its interference.
-func (r *Rekeyer) Run(at vtime.Time) (vtime.Time, error) {
-	for {
-		done, end, err := r.Step(at)
-		if err != nil {
-			return end, err
+// dropRetired destroys every epoch but To, orphans of aborted
+// transitions included; ErrEpochUnknown means a re-run already did.
+func (r *Rekeyer) dropRetired(at vtime.Time) (end vtime.Time, err error) {
+	for _, ep := range r.img.Epochs() {
+		if ep == r.prog.To {
+			continue
 		}
-		at = end
-		if done {
-			return at, nil
+		if at, err = r.img.DropEpoch(at, ep); err != nil && !errors.Is(err, luks.ErrEpochUnknown) {
+			return at, err
 		}
 	}
+	return at, nil
 }
 
-// Active reports whether an image has an unfinished rekey, and its
-// cursor.
+// Active reports whether an image has an unfinished rekey, and its cursor.
 func Active(at vtime.Time, img *core.EncryptedImage) (bool, Progress, vtime.Time, error) {
-	p, found, end, err := loadProgress(at, img)
-	return found, p, end, err
+	return walk.Active[Progress](at, kind, img.Image())
 }

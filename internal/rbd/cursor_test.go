@@ -75,12 +75,17 @@ func TestLoadCursorCorrupt(t *testing.T) {
 			const key = "walker.corrupt"
 			scribbleCursor(t, img, key, tc.raw)
 			var rec cursorRec
-			found, _, err := img.LoadCursor(0, key, &rec)
+			found, end, err := img.LoadCursor(0, key, &rec)
 			if !errors.Is(err, ErrCorruptCursor) {
 				t.Fatalf("LoadCursor over %q: err=%v, want ErrCorruptCursor", tc.raw, err)
 			}
 			if found {
 				t.Fatal("corrupt record reported found=true")
+			}
+			// The header read that found the corruption took virtual
+			// time; callers persist their restart record after it.
+			if end <= 0 {
+				t.Fatalf("LoadCursor issued at 0 returned end=%v, want the read's completion time", end)
 			}
 			// A fresh save over the wreckage restores the protocol.
 			want := cursorRec{NextObj: 1, Objects: 2}

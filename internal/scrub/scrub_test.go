@@ -277,8 +277,8 @@ func TestScrubResumeCorruptCursorRestarts(t *testing.T) {
 	scribbleProgress(t, e, []byte("\xde\xadnot a cursor"))
 
 	// The raw load classifies as corrupt, not as "no scrub".
-	if _, _, _, err := loadProgress(0, e); !errors.Is(err, rbd.ErrCorruptCursor) {
-		t.Fatalf("loadProgress: %v, want ErrCorruptCursor", err)
+	if _, _, err := e.Image().LoadCursor(0, progressKey, &Progress{}); !errors.Is(err, rbd.ErrCorruptCursor) {
+		t.Fatalf("LoadCursor: %v, want ErrCorruptCursor", err)
 	}
 	s2, _, err := Resume(0, reload(t, e))
 	if err != nil {
@@ -302,8 +302,9 @@ func TestScrubResumeCorruptCursorRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3.prog.Objects = 999
-	if _, err := s3.persist(0); err != nil {
+	p3 := s3.Progress()
+	p3.Objects = 999
+	if _, err := e.Image().SaveCursor(0, progressKey, p3); err != nil {
 		t.Fatal(err)
 	}
 	s4, _, err := Resume(0, reload(t, e))
