@@ -8,6 +8,9 @@ package repro
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"testing"
@@ -310,52 +313,68 @@ func BenchmarkTheoreticalSectorCounts(b *testing.B) {
 
 // BenchmarkCipherModes compares the sector ciphers of §2 on real CPU:
 // XTS (narrow block), ESSIV-CBC (historical), EME2-style (wide block),
-// and GCM (authenticated). This is ablation A-C.
+// and GCM (authenticated, the gcm-auth scheme's primitive). This is
+// ablation A-C.
 func BenchmarkCipherModes(b *testing.B) {
 	key64 := bytes.Repeat([]byte{7}, 64)
 	pt := make([]byte, 4096)
-	ct := make([]byte, 4096)
+	ct := make([]byte, 4096, 4096+16)
 	for i := range pt {
 		pt[i] = byte(i)
 	}
+	// run times one 4 KiB sector operation per iteration.
+	run := func(name string, op func(i int) error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(4096)
+			for i := 0; i < b.N; i++ {
+				if err := op(i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 
-	b.Run("xts-4K", func(b *testing.B) {
-		c, err := xts.NewCipher(key64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(4096)
-		for i := 0; i < b.N; i++ {
-			if err := c.Encrypt(ct, pt, xts.SectorTweak(uint64(i))); err != nil {
-				b.Fatal(err)
-			}
-		}
+	xc, err := xts.NewCipher(key64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("xts-4K", func(i int) error { return xc.Encrypt(ct, pt, xts.SectorTweak(uint64(i))) })
+	run("xts-decrypt-4K", func(i int) error { return xc.Decrypt(ct, pt, xts.SectorTweak(uint64(i))) })
+
+	ec, err := essiv.New(key64[:32])
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("essiv-cbc-4K", func(i int) error { return ec.EncryptSector(ct, pt, uint64(i)) })
+
+	wc, err := eme.New(key64[:32])
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tweak [16]byte
+	run("eme2-wide-4K", func(i int) error {
+		tweak[0] = byte(i)
+		return wc.Encrypt(ct, pt, tweak)
 	})
-	b.Run("essiv-cbc-4K", func(b *testing.B) {
-		c, err := essiv.New(key64[:32])
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(4096)
-		for i := 0; i < b.N; i++ {
-			if err := c.EncryptSector(ct, pt, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
+	run("eme2-wide-decrypt-4K", func(i int) error {
+		tweak[0] = byte(i)
+		return wc.Decrypt(ct, pt, tweak)
 	})
-	b.Run("eme2-wide-4K", func(b *testing.B) {
-		c, err := eme.New(key64[:32])
-		if err != nil {
-			b.Fatal(err)
-		}
-		var tweak [16]byte
-		b.SetBytes(4096)
-		for i := 0; i < b.N; i++ {
-			tweak[0] = byte(i)
-			if err := c.Encrypt(ct, pt, tweak); err != nil {
-				b.Fatal(err)
-			}
-		}
+
+	blk, err := aes.NewCipher(key64[:32])
+	if err != nil {
+		b.Fatal(err)
+	}
+	aead, err := cipher.NewGCM(blk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nonce := make([]byte, aead.NonceSize())
+	run("gcm-4K", func(i int) error {
+		binary.LittleEndian.PutUint64(nonce, uint64(i))
+		aead.Seal(ct[:0], nonce, pt, nil)
+		return nil
 	})
 }
 

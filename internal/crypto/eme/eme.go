@@ -17,14 +17,20 @@
 // (2048 bytes); this implementation accepts up to 512 blocks so it can
 // cover 4 KiB sectors the way EME2 does, trading the proof bound for the
 // paper's use case.
+//
+// The whitening masks depend only on the key and are precomputed in New,
+// so each ECB pass is one XOR over the unit plus one AES call per block,
+// worked in dst. Calls allocate nothing. dst may alias src exactly;
+// partial overlap is not supported.
 package eme
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // BlockSize is the underlying AES block size.
@@ -44,8 +50,13 @@ var (
 // Cipher is a wide-block cipher instance. It is safe for concurrent use.
 type Cipher struct {
 	block cipher.Block
-	l0    [BlockSize]byte // L = 2·E_K(0)
+	// masks holds the whitening masks L·2^i for i < MaxBlocks, with
+	// L = 2·E_K(0). They depend only on the key, so both passes apply
+	// them as one XOR over the whole data unit.
+	masks [MaxBlocks * BlockSize]byte
 }
+
+var le = binary.LittleEndian
 
 // New creates a wide-block cipher from a 16, 24 or 32-byte AES key.
 func New(key []byte) (*Cipher, error) {
@@ -54,27 +65,21 @@ func New(key []byte) (*Cipher, error) {
 		return nil, err
 	}
 	c := &Cipher{block: b}
-	b.Encrypt(c.l0[:], c.l0[:])
-	mul2(&c.l0)
+	b.Encrypt(c.masks[:BlockSize], c.masks[:BlockSize])
+	lo, hi := le.Uint64(c.masks[:8]), le.Uint64(c.masks[8:])
+	for i := 0; i < len(c.masks); i += BlockSize {
+		lo, hi = mul2(lo, hi)
+		le.PutUint64(c.masks[i:], lo)
+		le.PutUint64(c.masks[i+8:], hi)
+	}
 	return c, nil
 }
 
-func mul2(v *[BlockSize]byte) {
-	var carry byte
-	for i := 0; i < BlockSize; i++ {
-		next := v[i] >> 7
-		v[i] = v[i]<<1 | carry
-		carry = next
-	}
-	if carry != 0 {
-		v[0] ^= 0x87
-	}
-}
-
-func xor(dst, a, b []byte) {
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
+// mul2 multiplies the 128-bit value hi:lo by x in GF(2^128): lo holds
+// bytes 0..7 and hi bytes 8..15, both little-endian, and the carry out of
+// bit 127 folds back as 0x87.
+func mul2(lo, hi uint64) (uint64, uint64) {
+	return lo<<1 ^ 0x87&-(hi>>63), hi<<1 | lo>>63
 }
 
 func checkSize(n int) error {
@@ -84,30 +89,16 @@ func checkSize(n int) error {
 	return nil
 }
 
-// Encrypt computes the wide-block encryption of src into dst (they may
-// alias) under tweak.
+// Encrypt computes the wide-block encryption of src into dst under
+// tweak. dst may alias src exactly; partial overlap is not supported.
 func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	return c.process(dst, src, tweak, true)
 }
 
-// Decrypt reverses Encrypt.
+// Decrypt reverses Encrypt, with the same aliasing rule.
 func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	return c.process(dst, src, tweak, false)
 }
-
-// scratch holds the per-call working state. It lives on the heap (via a
-// sync.Pool) rather than the stack because the buffers are passed into
-// cipher.Block interface methods, which would force them to escape — and
-// allocate — on every call otherwise. Pooling keeps the hot sector path
-// allocation-free in the steady state.
-type scratch struct {
-	inter, mixed [MaxBlocks * BlockSize]byte
-	sp, mp       [BlockSize]byte
-	mc, mv, acc  [BlockSize]byte
-	mask, mmask  [BlockSize]byte
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, enc bool) error {
 	if err := checkSize(len(src)); err != nil {
@@ -116,55 +107,52 @@ func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, enc bool) error
 	if len(dst) < len(src) {
 		return errors.New("eme: dst shorter than src")
 	}
-	m := len(src) / BlockSize
 	crypt := c.block.Encrypt
 	if !enc {
 		crypt = c.block.Decrypt
 	}
+	d := dst[:len(src)]
+	masks := c.masks[:len(src)]
 
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	inter := s.inter[:m*BlockSize]
-	mixed := s.mixed[:m*BlockSize]
-
-	// Pass 1: whiten with the doubling mask and apply ECB.
-	s.mask = c.l0
-	for i := 0; i < m; i++ {
-		blk := inter[i*BlockSize : (i+1)*BlockSize]
-		xor(blk, src[i*BlockSize:(i+1)*BlockSize], s.mask[:])
-		crypt(blk, blk)
-		mul2(&s.mask)
+	// Pass 1: whiten with the mask table and apply ECB.
+	subtle.XORBytes(d, src, masks)
+	for i := 0; i < len(d); i += BlockSize {
+		crypt(d[i:i+BlockSize], d[i:i+BlockSize])
 	}
 
 	// Mix: fold everything plus the tweak into a mask applied to blocks
 	// 2..m; block 1 carries the correction so the transform inverts.
-	clear(s.sp[:])
-	for i := 0; i < m; i++ {
-		xor(s.sp[:], s.sp[:], inter[i*BlockSize:(i+1)*BlockSize])
+	var spLo, spHi uint64
+	for i := 0; i < len(d); i += BlockSize {
+		spLo ^= le.Uint64(d[i:])
+		spHi ^= le.Uint64(d[i+8:])
 	}
-	xor(s.mp[:], s.sp[:], tweak[:])
-	crypt(s.mc[:], s.mp[:])
-	xor(s.mv[:], s.mp[:], s.mc[:])
+	twLo, twHi := le.Uint64(tweak[:8]), le.Uint64(tweak[8:])
+	mpLo, mpHi := spLo^twLo, spHi^twHi
+	// Block 1 is folded into sp and rewritten last, so MC = E(MP) is
+	// ciphered in its place.
+	le.PutUint64(d[:8], mpLo)
+	le.PutUint64(d[8:], mpHi)
+	crypt(d[:BlockSize], d[:BlockSize])
+	mcLo, mcHi := le.Uint64(d[:8]), le.Uint64(d[8:])
 
-	s.mmask = s.mv
-	clear(s.acc[:])
-	for i := 1; i < m; i++ {
-		blk := mixed[i*BlockSize : (i+1)*BlockSize]
-		xor(blk, inter[i*BlockSize:(i+1)*BlockSize], s.mmask[:])
-		xor(s.acc[:], s.acc[:], blk)
-		mul2(&s.mmask)
+	mLo, mHi := mpLo^mcLo, mpHi^mcHi
+	var accLo, accHi uint64
+	for i := BlockSize; i < len(d); i += BlockSize {
+		lo, hi := le.Uint64(d[i:])^mLo, le.Uint64(d[i+8:])^mHi
+		le.PutUint64(d[i:], lo)
+		le.PutUint64(d[i+8:], hi)
+		accLo ^= lo
+		accHi ^= hi
+		mLo, mHi = mul2(mLo, mHi)
 	}
-	first := mixed[:BlockSize]
-	xor(first, s.mc[:], tweak[:])
-	xor(first, first, s.acc[:])
+	le.PutUint64(d[:8], mcLo^twLo^accLo)
+	le.PutUint64(d[8:], mcHi^twHi^accHi)
 
 	// Pass 2: ECB and unwhiten.
-	s.mask = c.l0
-	for i := 0; i < m; i++ {
-		blk := mixed[i*BlockSize : (i+1)*BlockSize]
-		crypt(blk, blk)
-		xor(dst[i*BlockSize:(i+1)*BlockSize], blk, s.mask[:])
-		mul2(&s.mask)
+	for i := 0; i < len(d); i += BlockSize {
+		crypt(d[i:i+BlockSize], d[i:i+BlockSize])
 	}
+	subtle.XORBytes(d, d, masks)
 	return nil
 }

@@ -206,9 +206,12 @@ func refProcess(c *Cipher, src []byte, tweak [16]byte, enc bool) []byte {
 		crypt = c.block.Decrypt
 	}
 
-	// Precompute the whitening mask table L, 2L, 4L, ...
+	// Precompute the whitening mask table L, 2L, 4L, ... with
+	// L = 2·E_K(0).
+	l := make([]byte, 16)
+	c.block.Encrypt(l, l)
 	masks := make([][]byte, m)
-	masks[0] = append([]byte(nil), c.l0[:]...)
+	masks[0] = refMul2(l)
 	for i := 1; i < m; i++ {
 		masks[i] = refMul2(masks[i-1])
 	}
@@ -260,10 +263,11 @@ func refDecrypt(c *Cipher, src []byte, tweak [16]byte) []byte {
 	return refProcess(c, src, tweak, false)
 }
 
-// TestMatchesReferenceImplementation cross-checks encrypt AND decrypt
-// against the reference over structured plaintexts (zeros, ramps,
-// repeated sub-blocks, single set bits) and random ones, at several data
-// unit sizes including the 4 KiB sector.
+// TestMatchesReferenceImplementation cross-checks encrypt AND decrypt,
+// out of place and in place, against the reference over structured
+// plaintexts (zeros, ramps, repeated sub-blocks, single set bits) and
+// random ones, at data units from one block to MaxBlocks, including the
+// 4 KiB sector and its neighbours.
 func TestMatchesReferenceImplementation(t *testing.T) {
 	key := make([]byte, 32)
 	for i := range key {
@@ -274,7 +278,10 @@ func TestMatchesReferenceImplementation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(77))
-	sizes := []int{16, 32, 512, 2048, 4096}
+	var sizes []int
+	for _, m := range []int{1, 2, 32, 128, 255, 256, 257, MaxBlocks} {
+		sizes = append(sizes, m*16)
+	}
 	structured := func(n, kind int) []byte {
 		p := make([]byte, n)
 		switch kind {
@@ -318,6 +325,26 @@ func TestMatchesReferenceImplementation(t *testing.T) {
 			}
 			if rb := refDecrypt(c, got, tweak); !bytes.Equal(rb, pt) {
 				t.Fatalf("n=%d kind=%d: reference decrypt does not invert package encrypt", n, kind)
+			}
+
+			inplace := append([]byte(nil), pt...)
+			if err := c.Encrypt(inplace, inplace, tweak); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(inplace, want) {
+				t.Fatalf("n=%d kind=%d: in-place encrypt diverges from reference", n, kind)
+			}
+			if err := c.Decrypt(inplace, inplace, tweak); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(inplace, pt) {
+				t.Fatalf("n=%d kind=%d: in-place decrypt does not invert", n, kind)
+			}
+			if err := c.Decrypt(got, pt, tweak); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, refDecrypt(c, pt, tweak)) {
+				t.Fatalf("n=%d kind=%d: decrypt diverges from reference", n, kind)
 			}
 		}
 	}
@@ -426,6 +453,32 @@ func TestKnownAnswerDigests(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(ct)); got != digest {
 			t.Fatalf("n=%d: ciphertext digest %s, want %s", n, got, digest)
+		}
+	}
+}
+
+// TestZeroAlloc pins Encrypt and Decrypt at zero heap allocations per
+// call, on a 4 KiB sector and on the largest unit, 8 KiB, which reads
+// the whole precomputed mask table.
+func TestZeroAlloc(t *testing.T) {
+	c, err := New(make([]byte, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, MaxBlocks*BlockSize)
+	for _, n := range []int{4096, MaxBlocks * BlockSize} {
+		for _, op := range []struct {
+			name string
+			f    func(dst, src []byte, tweak [TweakSize]byte) error
+		}{{"Encrypt", c.Encrypt}, {"Decrypt", c.Decrypt}} {
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := op.f(buf[:n], buf[:n], [TweakSize]byte{7}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s of %d bytes: %.1f allocs per call, want 0", op.name, n, allocs)
+			}
 		}
 	}
 }

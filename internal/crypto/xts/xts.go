@@ -11,11 +11,17 @@
 // XTS is a narrow-block mode: a plaintext change affects only the 16-byte
 // sub-block that contains it (§2.1's leakage discussion). The eme package
 // provides the wide-block alternative.
+//
+// The inner loop works in tweak runs: up to 256 consecutive tweaks are
+// doubled word-wise into pooled scratch, then XORed into dst in one pass,
+// ciphered block by block in place, and XORed again. Calls allocate
+// nothing. dst may alias src exactly; partial overlap is not supported.
 package xts
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,6 +33,8 @@ const BlockSize = 16
 
 // TweakSize is the tweak (IV) size in bytes.
 const TweakSize = 16
+
+var le = binary.LittleEndian
 
 var (
 	// ErrKeySize reports an XTS key that is not 32 or 64 bytes
@@ -70,39 +78,38 @@ func SectorTweak(sector uint64) [TweakSize]byte {
 	return t
 }
 
-// mul2 multiplies a 128-bit value by x in GF(2^128) with the XTS
-// little-endian convention (carry out of byte 15 folds back as 0x87 into
-// byte 0).
-func mul2(t *[TweakSize]byte) {
-	var carry byte
-	for i := 0; i < TweakSize; i++ {
-		next := t[i] >> 7
-		t[i] = t[i]<<1 | carry
-		carry = next
-	}
-	if carry != 0 {
-		t[0] ^= 0x87
-	}
+// mul2 multiplies the 128-bit value hi:lo by x in GF(2^128) with the XTS
+// little-endian convention: lo holds bytes 0..7 and hi bytes 8..15, both
+// little-endian, and the carry out of bit 127 folds back as 0x87.
+func mul2(lo, hi uint64) (uint64, uint64) {
+	return lo<<1 ^ 0x87&-(hi>>63), hi<<1 | lo>>63
 }
 
-// Encrypt encrypts a data unit src into dst (which may alias src) under
-// the given tweak. len(dst) must be at least len(src), and len(src) at
-// least one block; ciphertext stealing covers trailing partial blocks.
+// Encrypt encrypts a data unit src into dst under the given tweak. dst
+// may alias src exactly; partial overlap is not supported. len(dst) must
+// be at least len(src), and len(src) at least one block; ciphertext
+// stealing covers trailing partial blocks.
 func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	return c.process(dst, src, tweak, true)
 }
 
-// Decrypt reverses Encrypt.
+// Decrypt reverses Encrypt, with the same aliasing rule.
 func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	return c.process(dst, src, tweak, false)
 }
 
-// scratch holds the per-call tweak and block state. It is pooled rather
-// than stack-allocated because the arrays are passed into cipher.Block
-// interface methods, which makes them escape — one heap allocation per
-// sector — and the sector path must be allocation-free in steady state.
+// runBlocks is how many consecutive tweaks one run precomputes: a 4 KiB
+// sector is one run.
+const runBlocks = 256
+
+// scratch holds the per-call tweak run and block state. It is pooled
+// rather than stack-allocated because the arrays are passed into
+// cipher.Block interface methods, which makes them escape — one heap
+// allocation per sector — and the sector path must be allocation-free in
+// steady state.
 type scratch struct {
-	tw, t, t2, x, tail, pp, cc [BlockSize]byte
+	run                  [runBlocks * BlockSize]byte
+	tw, t, t2, x, pp, cc [BlockSize]byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -121,87 +128,76 @@ func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, enc bool) error
 	// cipher.Block interface; a param slice would escape (allocate).
 	s0.tw = tweak
 	c.k2.Encrypt(t[:], s0.tw[:])
+	crypt := c.k1.Encrypt
+	if !enc {
+		crypt = c.k1.Decrypt
+	}
 
-	full := len(src) / BlockSize
+	// n bytes of whole blocks go through tweak runs; with a partial tail,
+	// the final full block is left to ciphertext stealing.
 	rem := len(src) % BlockSize
-	steal := rem != 0
-
-	blocks := full
-	if steal {
-		blocks = full - 1 // the final full block participates in stealing
+	n := len(src) - rem
+	if rem != 0 {
+		n -= BlockSize
 	}
 
-	for i := 0; i < blocks; i++ {
-		s := src[i*BlockSize : (i+1)*BlockSize]
-		d := dst[i*BlockSize : (i+1)*BlockSize]
-		xorBlock(x, s, t)
-		if enc {
-			c.k1.Encrypt(x[:], x[:])
-		} else {
-			c.k1.Decrypt(x[:], x[:])
+	// One tweak run at a time: fill the run's tweaks, XOR them into dst,
+	// cipher each block in place, XOR them again.
+	lo, hi := le.Uint64(t[:8]), le.Uint64(t[8:])
+	for off := 0; off < n; off += len(s0.run) {
+		run := s0.run[:min(n-off, len(s0.run))]
+		for i := 0; i < len(run); i += BlockSize {
+			le.PutUint64(run[i:], lo)
+			le.PutUint64(run[i+8:], hi)
+			lo, hi = mul2(lo, hi)
 		}
-		xorInto(d, x, t)
-		mul2(t)
+		d := dst[off : off+len(run)]
+		subtle.XORBytes(d, src[off:off+len(run)], run)
+		for i := 0; i < len(d); i += BlockSize {
+			crypt(d[i:i+BlockSize], d[i:i+BlockSize])
+		}
+		subtle.XORBytes(d, d, run)
 	}
-
-	if !steal {
+	if rem == 0 {
 		return nil
 	}
+	le.PutUint64(t[:8], lo)
+	le.PutUint64(t[8:], hi)
+	lo, hi = mul2(lo, hi)
+	t2 := &s0.t2
+	le.PutUint64(t2[:8], lo)
+	le.PutUint64(t2[8:], hi)
 
-	// Ciphertext stealing for the trailing partial block (IEEE 1619 §5.3).
-	// The tail is copied up front because dst may alias src.
-	m := blocks // index of the last full block
-	tail, pp, cc, t2 := &s0.tail, &s0.pp, &s0.cc, &s0.t2
-	clear(tail[:])
-	copy(tail[:rem], src[(m+1)*BlockSize:])
+	// Ciphertext stealing for the trailing partial block (IEEE 1619 §5.3),
+	// with t the tweak of the last full block m and t2 that of the partial
+	// one. Both source blocks are read into scratch before dst is written,
+	// because dst may alias src.
+	pp, cc := &s0.pp, &s0.cc
+	last, tail := src[n:n+BlockSize], src[n+BlockSize:]
 	if enc {
 		// CC = E(Pm) under tweak m; the stolen head of CC becomes the
 		// final partial ciphertext; the last full block is
 		// E(tail || rest of CC) under tweak m+1.
-		xorBlock(x, src[m*BlockSize:(m+1)*BlockSize], t)
-		c.k1.Encrypt(x[:], x[:])
-		xorIntoSelf(x, t)
-		copy(cc[:], x[:])
-		copy(pp[:rem], tail[:rem])
-		copy(pp[rem:], cc[rem:])
-		copy(dst[(m+1)*BlockSize:], cc[:rem]) // stolen head
-		*t2 = *t
-		mul2(t2)
-		xorBlock(x, pp[:], t2)
-		c.k1.Encrypt(x[:], x[:])
-		xorInto(dst[m*BlockSize:(m+1)*BlockSize], x, t2)
+		subtle.XORBytes(x[:], last, t[:])
+		crypt(x[:], x[:])
+		subtle.XORBytes(cc[:], x[:], t[:])
+		copy(pp[:], cc[:])
+		copy(pp[:], tail)
+		copy(dst[n+BlockSize:], cc[:rem]) // stolen head
+		subtle.XORBytes(x[:], pp[:], t2[:])
+		crypt(x[:], x[:])
+		subtle.XORBytes(dst[n:n+BlockSize], x[:], t2[:])
 	} else {
 		// Mirror image: decrypt the last full block under tweak m+1 first.
-		*t2 = *t
-		mul2(t2)
-		xorBlock(x, src[m*BlockSize:(m+1)*BlockSize], t2)
-		c.k1.Decrypt(x[:], x[:])
-		xorIntoSelf(x, t2)
-		copy(pp[:], x[:])
-		copy(cc[:rem], tail[:rem])
-		copy(cc[rem:], pp[rem:])
-		copy(dst[(m+1)*BlockSize:], pp[:rem])
-		xorBlock(x, cc[:], t)
-		c.k1.Decrypt(x[:], x[:])
-		xorInto(dst[m*BlockSize:(m+1)*BlockSize], x, t)
+		subtle.XORBytes(x[:], last, t2[:])
+		crypt(x[:], x[:])
+		subtle.XORBytes(pp[:], x[:], t2[:])
+		copy(cc[:], pp[:])
+		copy(cc[:], tail)
+		copy(dst[n+BlockSize:], pp[:rem])
+		subtle.XORBytes(x[:], cc[:], t[:])
+		crypt(x[:], x[:])
+		subtle.XORBytes(dst[n:n+BlockSize], x[:], t[:])
 	}
 	return nil
-}
-
-func xorBlock(dst *[BlockSize]byte, src []byte, t *[TweakSize]byte) {
-	for i := 0; i < BlockSize; i++ {
-		dst[i] = src[i] ^ t[i]
-	}
-}
-
-func xorInto(dst []byte, x *[BlockSize]byte, t *[TweakSize]byte) {
-	for i := 0; i < BlockSize; i++ {
-		dst[i] = x[i] ^ t[i]
-	}
-}
-
-func xorIntoSelf(x *[BlockSize]byte, t *[TweakSize]byte) {
-	for i := 0; i < BlockSize; i++ {
-		x[i] ^= t[i]
-	}
 }

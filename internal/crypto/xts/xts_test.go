@@ -86,43 +86,112 @@ func TestShortDataRejected(t *testing.T) {
 	}
 }
 
-// Reference implementation: straightforward per-block XTS without the
-// optimizations or the shared code paths, used to cross-check the main
-// implementation on whole-block inputs.
-func referenceEncrypt(t *testing.T, key []byte, tweak [16]byte, pt []byte) []byte {
-	t.Helper()
+// refMul2 is the byte-wise doubling the word-wise mul2 replaced: it
+// multiplies by x in GF(2^128) with the XTS little-endian convention
+// (the carry out of byte 15 folds back as 0x87 into byte 0).
+func refMul2(v [16]byte) [16]byte {
+	var carry byte
+	for i := range v {
+		next := v[i] >> 7
+		v[i] = v[i]<<1 | carry
+		carry = next
+	}
+	if carry != 0 {
+		v[0] ^= 0x87
+	}
+	return v
+}
+
+// refXTS is a straightforward byte-wise transcription of IEEE 1619
+// XTS-AES, ciphertext stealing included, sharing no code with the
+// package: every block is tweaked, ciphered and untweaked on its own,
+// with the tweak doubled by refMul2.
+func refXTS(key []byte, tweak [16]byte, in []byte, enc bool) []byte {
 	half := len(key) / 2
 	k1, _ := aes.NewCipher(key[:half])
 	k2, _ := aes.NewCipher(key[half:])
-	tw := make([]byte, 16)
-	k2.Encrypt(tw, tweak[:])
-	out := make([]byte, len(pt))
-	buf := make([]byte, 16)
-	for i := 0; i < len(pt)/16; i++ {
-		for j := 0; j < 16; j++ {
-			buf[j] = pt[i*16+j] ^ tw[j]
-		}
-		k1.Encrypt(buf, buf)
-		for j := 0; j < 16; j++ {
-			out[i*16+j] = buf[j] ^ tw[j]
-		}
-		// multiply tweak by x (little-endian convention)
-		carry := byte(0)
-		for j := 0; j < 16; j++ {
-			next := tw[j] >> 7
-			tw[j] = tw[j]<<1 | carry
-			carry = next
-		}
-		if carry != 0 {
-			tw[0] ^= 0x87
-		}
+	var t0 [16]byte
+	k2.Encrypt(t0[:], tweak[:])
+	m := len(in) / 16
+	rem := len(in) % 16
+	tweaks := make([][16]byte, m+1)
+	tweaks[0] = t0
+	for i := 1; i <= m; i++ {
+		tweaks[i] = refMul2(tweaks[i-1])
 	}
+	block := func(b []byte, t [16]byte) []byte {
+		out := make([]byte, 16)
+		for j := range out {
+			out[j] = b[j] ^ t[j]
+		}
+		if enc {
+			k1.Encrypt(out, out)
+		} else {
+			k1.Decrypt(out, out)
+		}
+		for j := range out {
+			out[j] ^= t[j]
+		}
+		return out
+	}
+	out := make([]byte, len(in))
+	full := m
+	if rem != 0 {
+		full = m - 1
+	}
+	for i := 0; i < full; i++ {
+		copy(out[i*16:], block(in[i*16:(i+1)*16], tweaks[i]))
+	}
+	if rem == 0 {
+		return out
+	}
+	// The last full block and the partial tail (§5.3): encryption uses
+	// tweaks m-1 then m; decryption uses them the other way round.
+	first, second := tweaks[m-1], tweaks[m]
+	if !enc {
+		first, second = second, first
+	}
+	last := block(in[(m-1)*16:m*16], first)
+	joined := append(append([]byte(nil), in[m*16:]...), last[rem:]...)
+	copy(out[m*16:], last[:rem])
+	copy(out[(m-1)*16:], block(joined, second))
 	return out
 }
 
+// runBoundaryTweak returns a tweak whose encrypted value has bit 127 set
+// after 255 doublings, so the 0x87 fold happens as the first tweak run
+// (256 blocks) hands over to the second.
+func runBoundaryTweak(t *testing.T, key []byte, rng *rand.Rand) [16]byte {
+	t.Helper()
+	k2, _ := aes.NewCipher(key[len(key)/2:])
+	for range 64 {
+		var tweak, v [16]byte
+		rng.Read(tweak[:])
+		k2.Encrypt(v[:], tweak[:])
+		for range runBlocks - 1 {
+			v = refMul2(v)
+		}
+		if v[15]&0x80 != 0 {
+			return tweak
+		}
+	}
+	t.Fatal("no tweak folds at the run boundary")
+	return [16]byte{}
+}
+
+// TestAgainstReference cross-checks Encrypt and Decrypt against refXTS,
+// out of place and in place, on random short units and on units that
+// span more than one tweak run: 4 KiB, 4 KiB plus a ciphertext-stealing
+// tail, and 8 KiB (512 blocks), under tweaks whose doubling folds at the
+// run boundary.
 func TestAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
+	var sizes []int
+	for range 50 {
+		sizes = append(sizes, (1+rng.Intn(64))*16)
+	}
+	sizes = append(sizes, 4096, 4096+1, 4096+7, 4096+15, 8192-1, 8192)
+	for trial, n := range sizes {
 		keyLen := 32
 		if trial%2 == 0 {
 			keyLen = 64
@@ -131,7 +200,9 @@ func TestAgainstReference(t *testing.T) {
 		rng.Read(key)
 		var tweak [16]byte
 		rng.Read(tweak[:])
-		n := (1 + rng.Intn(64)) * 16
+		if n > runBlocks*BlockSize {
+			tweak = runBoundaryTweak(t, key, rng)
+		}
 		pt := make([]byte, n)
 		rng.Read(pt)
 
@@ -139,13 +210,26 @@ func TestAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]byte, n)
-		if err := c.Encrypt(got, pt, tweak); err != nil {
-			t.Fatal(err)
-		}
-		want := referenceEncrypt(t, key, tweak, pt)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: mismatch vs reference", trial)
+		for _, enc := range []bool{true, false} {
+			want := refXTS(key, tweak, pt, enc)
+			op := c.Encrypt
+			if !enc {
+				op = c.Decrypt
+			}
+			got := make([]byte, n)
+			if err := op(got, pt, tweak); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d encrypt=%v: out of place differs from reference", n, enc)
+			}
+			inplace := append([]byte(nil), pt...)
+			if err := op(inplace, inplace, tweak); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(inplace, want) {
+				t.Fatalf("n=%d encrypt=%v: in place differs from reference", n, enc)
+			}
 		}
 	}
 }
@@ -272,17 +356,34 @@ func TestSpliceAttackPossibleWithSameTweak(t *testing.T) {
 	}
 }
 
+// TestMul2MatchesCarrylessSquare checks the word-wise doubling against
+// the byte-wise refMul2 over the 128 doublings from 1 (which must visit
+// 128 distinct values) and over random values.
 func TestMul2MatchesCarrylessSquare(t *testing.T) {
-	// Doubling 128 times from 1 must visit 128 distinct values then fold.
+	words := func(v [16]byte) (uint64, uint64) { return le.Uint64(v[:8]), le.Uint64(v[8:]) }
+	check := func(v [16]byte) [16]byte {
+		t.Helper()
+		next := refMul2(v)
+		lo, hi := mul2(words(v))
+		if wlo, whi := words(next); lo != wlo || hi != whi {
+			t.Fatalf("mul2(%x) = %016x:%016x, want %x", v, hi, lo, next)
+		}
+		return next
+	}
 	var v [16]byte
 	v[0] = 1
 	seen := map[[16]byte]bool{v: true}
 	for i := 0; i < 128; i++ {
-		mul2(&v)
+		v = check(v)
 		if seen[v] {
 			t.Fatalf("cycle after %d doublings", i+1)
 		}
 		seen[v] = true
+	}
+	rng := rand.New(rand.NewSource(9))
+	for range 1000 {
+		rng.Read(v[:])
+		check(v)
 	}
 }
 
