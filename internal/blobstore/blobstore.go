@@ -168,12 +168,15 @@ const (
 )
 
 func omapKey(obj string, key []byte) []byte {
-	k := make([]byte, 0, len(nsOmap)+len(obj)+1+len(key))
-	k = append(k, nsOmap...)
-	k = append(k, obj...)
-	k = append(k, 0)
-	k = append(k, key...)
-	return k
+	return appendOmapKey(make([]byte, 0, len(nsOmap)+len(obj)+1+len(key)), obj, key)
+}
+
+// appendOmapKey appends obj's metadata-store key for OMAP key to dst.
+func appendOmapKey(dst []byte, obj string, key []byte) []byte {
+	dst = append(dst, nsOmap...)
+	dst = append(dst, obj...)
+	dst = append(dst, 0)
+	return append(dst, key...)
 }
 
 func attrKey(obj, name string) []byte {
@@ -555,9 +558,32 @@ func (s *Store) GetAttr(at vtime.Time, obj, name string) ([]byte, bool, vtime.Ti
 	return s.kv.Get(at, attrKey(obj, name))
 }
 
-// OmapGet returns the OMAP value for one key.
-func (s *Store) OmapGet(at vtime.Time, obj string, key []byte) ([]byte, bool, vtime.Time, error) {
-	return s.kv.Get(at, omapKey(obj, key))
+// OmapGetKeys returns the OMAP pairs of obj stored under keys, in the
+// order of keys, absent keys left out: exact-key lookups through the
+// metadata store's bloom filters (Ceph's omap_get_vals_by_keys). Keys
+// are returned without the object prefix.
+func (s *Store) OmapGetKeys(at vtime.Time, obj string, keys [][]byte) ([]KVPair, vtime.Time, error) {
+	prefix := len(nsOmap) + len(obj) + 1
+	size := 0
+	for _, k := range keys {
+		size += prefix + len(k)
+	}
+	arena := make([]byte, 0, size) // every prefixed key, one allocation
+	full := make([][]byte, len(keys))
+	for i, k := range keys {
+		o := len(arena)
+		arena = appendOmapKey(arena, obj, k)
+		full[i] = arena[o:len(arena):len(arena)]
+	}
+	kvs, end, err := s.kv.GetKeys(at, full)
+	if err != nil {
+		return nil, end, err
+	}
+	out := make([]KVPair, len(kvs))
+	for i, kv := range kvs {
+		out[i] = KVPair{Key: kv.Key[prefix:], Value: kv.Value}
+	}
+	return out, end, nil
 }
 
 // OmapScan returns up to limit OMAP pairs with lo <= key < hi (nil hi

@@ -137,6 +137,15 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
+// omapGet is a one-key OmapGetKeys.
+func omapGet(s *Store, obj string, key []byte) ([]byte, bool, error) {
+	kvs, _, err := s.OmapGetKeys(0, obj, [][]byte{key})
+	if err != nil || len(kvs) == 0 {
+		return nil, false, err
+	}
+	return kvs[0].Value, true, nil
+}
+
 func TestOmapSetGetScan(t *testing.T) {
 	s, _ := testStore(t)
 	txn := NewTxn()
@@ -149,7 +158,7 @@ func TestOmapSetGetScan(t *testing.T) {
 	if _, err := s.Apply(0, "obj", txn); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _, err := s.OmapGet(0, "obj", []byte("iv0007"))
+	v, ok, err := omapGet(s, "obj", []byte("iv0007"))
 	if err != nil || !ok || string(v) != "value7" {
 		t.Fatalf("omap get: %q %v %v", v, ok, err)
 	}
@@ -174,8 +183,21 @@ func TestOmapSetGetScan(t *testing.T) {
 	if _, err := s.Apply(0, "obj", txn2); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _, _ := s.OmapGet(0, "obj", []byte("iv0007")); ok {
+	if _, ok, _ := omapGet(s, "obj", []byte("iv0007")); ok {
 		t.Fatal("omap delete failed")
+	}
+	// Exact keys: found pairs in key order, the deleted and never-set
+	// keys left out, the object prefix stripped.
+	kvs, _, err = s.OmapGetKeys(0, "obj", [][]byte{[]byte("iv0008"), []byte("iv0007"), []byte("nope"), []byte("iv0006")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kvs) != 2 || string(kvs[0].Key) != "iv0008" || string(kvs[0].Value) != "value8" ||
+		string(kvs[1].Key) != "iv0006" || string(kvs[1].Value) != "value6" {
+		t.Fatalf("omap get keys: %q", kvs)
+	}
+	if kvs, _, _ = s.OmapGetKeys(0, "other", [][]byte{[]byte("iv0008")}); len(kvs) != 0 {
+		t.Fatalf("another object's key visible: %q", kvs)
 	}
 }
 
@@ -257,7 +279,7 @@ func TestClone(t *testing.T) {
 	if got := readObj(t, s, "snap.1", 0, 10000); !bytes.Equal(got, data) {
 		t.Fatal("clone data diverged")
 	}
-	v, ok, _, _ := s.OmapGet(0, "snap.1", []byte("iv0"))
+	v, ok, _ := omapGet(s, "snap.1", []byte("iv0"))
 	if !ok || string(v) != "ivdata" {
 		t.Fatal("clone omap missing")
 	}
@@ -283,7 +305,7 @@ func TestTxnAtomicDataPlusOmap(t *testing.T) {
 	if _, err := s.Apply(0, "obj", txn); err != nil {
 		t.Fatal(err)
 	}
-	_, ok, _, _ := s.OmapGet(0, "obj", []byte("iv"))
+	_, ok, _ := omapGet(s, "obj", []byte("iv"))
 	if !ok {
 		t.Fatal("omap lost")
 	}
@@ -316,7 +338,7 @@ func TestRecoveryAfterCleanReopen(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("data lost across reopen")
 	}
-	if _, ok, _, _ := s2.OmapGet(0, "persist", []byte("k")); !ok {
+	if _, ok, _ := omapGet(s2, "persist", []byte("k")); !ok {
 		t.Fatal("omap lost across reopen")
 	}
 	// New objects allocate beyond existing ones.
@@ -377,7 +399,7 @@ func TestCrashConsistencySweep(t *testing.T) {
 		// Every transaction whose IV is visible must have its data, and
 		// vice versa for the sub-sector span (the journaled part).
 		for i := 0; i < 10; i++ {
-			_, ok, _, err := s2.OmapGet(0, "obj", []byte(fmt.Sprintf("iv%d", i)))
+			_, ok, err := omapGet(s2, "obj", []byte(fmt.Sprintf("iv%d", i)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -235,13 +235,24 @@ func BenchmarkDatapathSeal(b *testing.B) {
 }
 
 // BenchmarkOMAPReadAllocs pins the allocation budget of the omap
-// layout's read path end to end (client → OSD → KV scan → wire decode →
-// open pipeline). Run with -benchmem: the KV scan and the wire pair
-// decoding are arena-batched, so allocs/op stays in the dozens instead
-// of the ~1k-per-IO (two per OMAP pair) the layout used to pay.
+// layout's read path end to end (client → OSD → exact-key KV lookup →
+// wire decode → open pipeline). Run with -benchmem: the KV lookup and
+// the wire pair decoding are arena-batched, so allocs/op stays in the
+// dozens instead of the ~1k-per-IO (two per OMAP pair) the layout used
+// to pay.
 func BenchmarkOMAPReadAllocs(b *testing.B) {
+	benchOMAPRead(b, 256<<10) // 64 blocks → 64 OMAP keys per IO
+}
+
+// BenchmarkOMAPReadAllocsOneBlock is the same path for a single 4 KiB
+// read: one IV key, the shape of the random-read workload.
+func BenchmarkOMAPReadAllocsOneBlock(b *testing.B) {
+	benchOMAPRead(b, 4<<10)
+}
+
+func benchOMAPRead(b *testing.B, size int) {
 	e := newEncrypted(b, SchemeXTSRand, LayoutOMAP)
-	io := make([]byte, 256<<10) // 64 blocks → 64 OMAP pairs per IO
+	io := make([]byte, size)
 	mrand.New(mrand.NewSource(3)).Read(io)
 	if _, err := e.WriteAt(0, io, 0); err != nil {
 		b.Fatal(err)

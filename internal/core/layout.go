@@ -60,16 +60,25 @@ const omapIVPrefix = "iv."
 // omapKeyLen is the encoded size of one OMAP IV key.
 const omapKeyLen = len(omapIVPrefix) + 8
 
-func omapIVKey(block int64) []byte {
-	k := make([]byte, omapKeyLen)
-	omapIVKeyInto(k, block)
-	return k
-}
-
 // omapIVKeyInto renders the IV key for block into k (omapKeyLen bytes).
 func omapIVKeyInto(k []byte, block int64) {
 	copy(k, omapIVPrefix)
 	binary.BigEndian.PutUint64(k[len(omapIVPrefix):], uint64(block))
+}
+
+// omapIVKeyPairs returns value-less pairs naming the IV keys of blocks
+// [startBlock, startBlock+nb), the keys sharing one arena: the request
+// shape of an exact-key IV read (OpOmapGetKeys) and of a punch
+// (OpOmapDel).
+func omapIVKeyPairs(startBlock, nb int64) []rados.Pair {
+	keys := make([]byte, nb*int64(omapKeyLen))
+	pairs := make([]rados.Pair, nb)
+	for b := range pairs {
+		k := keys[b*omapKeyLen : (b+1)*omapKeyLen : (b+1)*omapKeyLen]
+		omapIVKeyInto(k, startBlock+int64(b))
+		pairs[b] = rados.Pair{Key: k}
+	}
+	return pairs
 }
 
 // planner turns an object-relative block run plus its ciphertext and
@@ -271,7 +280,7 @@ func (p *planner) readOpsInto(startBlock, nb int64, raw, metas []byte) []rados.O
 	case LayoutOMAP:
 		return []rados.Op{
 			{Kind: rados.OpRead, Off: startBlock * p.blockSize, Len: nb * p.blockSize, Dst: raw},
-			{Kind: rados.OpOmapGetRange, Key: omapIVKey(startBlock), Key2: omapIVKey(startBlock + nb)},
+			{Kind: rados.OpOmapGetKeys, Pairs: omapIVKeyPairs(startBlock, nb)},
 			stat,
 		}
 	}
@@ -494,10 +503,7 @@ func (p *planner) probeOps(startBlock, nb int64, raw, metas []byte) []rados.Op {
 			stat,
 		}
 	case LayoutOMAP:
-		return []rados.Op{
-			{Kind: rados.OpOmapGetRange, Key: omapIVKey(startBlock), Key2: omapIVKey(startBlock + nb)},
-			stat,
-		}
+		return []rados.Op{{Kind: rados.OpOmapGetKeys, Pairs: omapIVKeyPairs(startBlock, nb)}, stat}
 	}
 	panic("core: unknown layout")
 }
@@ -646,13 +652,9 @@ func (p *planner) discardOps(startBlock, nb int64) (ops []rados.Op, release func
 			{Kind: rados.OpWrite, Off: p.objectSize + startBlock*p.metaLen, Data: zero(nb * p.metaLen)},
 		}
 	case LayoutOMAP:
-		pairs := make([]rados.Pair, nb)
-		for b := int64(0); b < nb; b++ {
-			pairs[b] = rados.Pair{Key: omapIVKey(startBlock + b)}
-		}
 		ops = []rados.Op{
 			{Kind: rados.OpWrite, Off: startBlock * p.blockSize, Data: zero(nb * p.blockSize)},
-			{Kind: rados.OpOmapDel, Pairs: pairs},
+			{Kind: rados.OpOmapDel, Pairs: omapIVKeyPairs(startBlock, nb)},
 		}
 	default:
 		panic("core: unknown layout")

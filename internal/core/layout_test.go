@@ -42,11 +42,11 @@ func (f *fakeStore) apply(ops []rados.Op) []rados.Result {
 			out[i] = rados.Result{Status: rados.StatusOK, Data: append([]byte(nil), f.data[op.Off:op.Off+op.Len]...)}
 		case rados.OpStat:
 			out[i] = rados.Result{Status: rados.StatusOK, Size: f.size}
-		case rados.OpOmapGetRange:
+		case rados.OpOmapGetKeys:
 			var pairs []rados.Pair
-			for k, v := range f.omap {
-				if k >= string(op.Key) && (len(op.Key2) == 0 || k < string(op.Key2)) {
-					pairs = append(pairs, rados.Pair{Key: []byte(k), Value: v})
+			for _, p := range op.Pairs {
+				if v, ok := f.omap[string(p.Key)]; ok {
+					pairs = append(pairs, rados.Pair{Key: p.Key, Value: v})
 				}
 			}
 			out[i] = rados.Result{Status: rados.StatusOK, Pairs: pairs}
@@ -187,13 +187,17 @@ func TestSectorCountPaperFigures(t *testing.T) {
 }
 
 func TestOmapIVKeyOrdering(t *testing.T) {
-	// Keys must sort numerically so range scans return contiguous blocks.
-	prev := omapIVKey(0)
-	for b := int64(1); b < 2000; b += 37 {
-		k := omapIVKey(b)
-		if bytes.Compare(prev, k) >= 0 {
-			t.Fatalf("ordering broken at block %d", b)
+	// Keys must sort numerically, so a run of blocks is a contiguous key
+	// run and an exact-key read meets each SST block of it once.
+	pairs := omapIVKeyPairs(5, 2000)
+	for b := 1; b < len(pairs); b++ {
+		if bytes.Compare(pairs[b-1].Key, pairs[b].Key) >= 0 {
+			t.Fatalf("ordering broken at block %d", 5+b)
 		}
-		prev = k
+	}
+	want := make([]byte, omapKeyLen)
+	omapIVKeyInto(want, 2004)
+	if last := pairs[len(pairs)-1]; !bytes.Equal(last.Key, want) || last.Value != nil {
+		t.Fatalf("last pair %q=%q, want key %q and no value", last.Key, last.Value, want)
 	}
 }

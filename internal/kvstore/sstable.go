@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/vtime"
 )
@@ -51,6 +52,7 @@ func appendEntry(buf []byte, e memEntry) []byte {
 	return buf
 }
 
+// decodeEntry parses one entry; its key and value alias b.
 func decodeEntry(b []byte) (e memEntry, n int, err error) {
 	if len(b) < 7 {
 		return e, 0, fmt.Errorf("%w: truncated entry header", ErrCorrupt)
@@ -68,8 +70,8 @@ func decodeEntry(b []byte) (e memEntry, n int, err error) {
 	if len(b) < n {
 		return e, 0, fmt.Errorf("%w: truncated entry body", ErrCorrupt)
 	}
-	e.key = append([]byte(nil), b[7:7+klen]...)
-	e.value = append([]byte(nil), b[7+klen:n]...)
+	e.key = b[7 : 7+klen : 7+klen]
+	e.value = b[7+klen : n : n]
 	return e, n, nil
 }
 
@@ -288,7 +290,8 @@ func (t *table) blockFor(key []byte) int {
 	return ans
 }
 
-// readBlock fetches and decodes one data block from media.
+// readBlock fetches and decodes one data block from media. The entries
+// alias the block's own freshly read buffer, which nothing else holds.
 func (t *table) readBlock(c *cursor, i int) ([]memEntry, error) {
 	bm := t.index[i]
 	raw := make([]byte, bm.length)
@@ -314,36 +317,61 @@ func (t *table) readBlock(c *cursor, i int) ([]memEntry, error) {
 	return entries, nil
 }
 
-// get looks up key, consulting the bloom filter first.
-func (t *table) get(c *cursor, key []byte) (memEntry, bool, error) {
-	if len(t.index) == 0 || bytes.Compare(key, t.minKey) < 0 || bytes.Compare(key, t.maxKey) > 0 {
-		return memEntry{}, false, nil
+// overlaps reports whether t may hold a key in [lo, hi) (empty lo or hi
+// means unbounded on that side).
+func (t *table) overlaps(lo, hi []byte) bool {
+	if len(t.index) == 0 {
+		return false
 	}
-	if !t.bloom.mayContain(key) {
-		return memEntry{}, false, nil
+	if len(hi) > 0 && bytes.Compare(t.minKey, hi) >= 0 {
+		return false
 	}
-	bi := t.blockFor(key)
-	if bi < 0 {
-		return memEntry{}, false, nil
+	return len(lo) == 0 || bytes.Compare(t.maxKey, lo) >= 0
+}
+
+// readBlockEntry is a data block one lookup has already read.
+type readBlockEntry struct {
+	bi      int
+	entries []memEntry
+}
+
+// lookup resolves the keys whose hits are still unset and that t may
+// hold: a key outside [minKey, maxKey] or rejected by the bloom filter
+// costs nothing, and each data block the rest need is read once. It
+// returns the number of keys resolved, tombstones included.
+func (t *table) lookup(c *cursor, keys [][]byte, hits []keyHit) (int, error) {
+	if len(t.index) == 0 {
+		return 0, nil
 	}
-	entries, err := t.readBlock(c, bi)
-	if err != nil {
-		return memEntry{}, false, err
-	}
-	// Entries inside a block are sorted.
-	lo, hi := 0, len(entries)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		switch bytes.Compare(entries[mid].key, key) {
-		case 0:
-			return entries[mid], true, nil
-		case -1:
-			lo = mid + 1
-		default:
-			hi = mid - 1
+	var read []readBlockEntry // sorted keys ask for the last block read
+	resolved := 0
+	for i, key := range keys {
+		if hits[i].kind != 0 || bytes.Compare(key, t.minKey) < 0 || bytes.Compare(key, t.maxKey) > 0 ||
+			!t.bloom.mayContain(key) {
+			continue
+		}
+		bi := t.blockFor(key)
+		r := len(read) - 1
+		for r >= 0 && read[r].bi != bi {
+			r--
+		}
+		if r < 0 {
+			entries, err := t.readBlock(c, bi)
+			if err != nil {
+				return resolved, err
+			}
+			read = append(read, readBlockEntry{bi, entries})
+			r = len(read) - 1
+		}
+		// Entries inside a block are sorted.
+		entries := read[r].entries
+		j, ok := slices.BinarySearchFunc(entries, key, func(e memEntry, k []byte) int { return bytes.Compare(e.key, k) })
+		if ok {
+			hits[i] = keyHit{value: entries[j].value, kind: entries[j].kind}
+			resolved++
 		}
 	}
-	return memEntry{}, false, nil
+	return resolved, nil
 }
 
 // ---- iterators ----

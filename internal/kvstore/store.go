@@ -358,34 +358,100 @@ func (s *Store) Apply(at vtime.Time, b *Batch) (vtime.Time, error) {
 	return end, nil
 }
 
-// Get returns the value for key.
+// Get returns the value for key, through the GetKeys lookup.
 func (s *Store) Get(at vtime.Time, key []byte) ([]byte, bool, vtime.Time, error) {
+	var hit [1]keyHit
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Gets++
-	at = s.chargeCPU(at, 1, s.cfg.CPUPerEntryRead)
-	if e, ok := s.mem.get(key); ok {
-		if e.kind == kindDelete {
-			return nil, false, at, nil
+	end, err := s.lookupLocked(at, [][]byte{key}, hit[:])
+	if err != nil || hit[0].kind != kindPut {
+		return nil, false, end, err
+	}
+	return append([]byte(nil), hit[0].value...), true, end, nil
+}
+
+// keyHit is one key's resolution inside a lookup: kind stays 0 while no
+// source has answered for the key, and value aliases the memtable or a
+// freshly read block until it is copied out.
+type keyHit struct {
+	value []byte
+	kind  entryKind
+}
+
+// hitPool recycles the per-call key resolution scratch, like spanPool.
+var hitPool = sync.Pool{New: func() any { return new([]keyHit) }}
+
+// GetKeys looks up exact keys, the point-lookup path (RocksDB MultiGet,
+// Ceph omap_get_vals_by_keys). It returns the live pairs in the order of
+// keys, absent and deleted keys left out; each Key is the caller's key
+// slice and the values share one freshly allocated arena.
+func (s *Store) GetKeys(at vtime.Time, keys [][]byte) ([]KV, vtime.Time, error) {
+	hitsPtr := hitPool.Get().(*[]keyHit)
+	hits := append((*hitsPtr)[:0], make([]keyHit, len(keys))...)
+	defer func() {
+		clear(hits) // drop references to store memory before pooling
+		*hitsPtr = hits[:0]
+		hitPool.Put(hitsPtr)
+	}()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	end, err := s.lookupLocked(at, keys, hits)
+	if err != nil {
+		return nil, end, err
+	}
+
+	found, size := 0, 0
+	for _, h := range hits {
+		if h.kind == kindPut {
+			found++
+			size += len(h.value)
 		}
-		return append([]byte(nil), e.value...), true, at, nil
+	}
+	if found == 0 {
+		return nil, end, nil
+	}
+	arena := make([]byte, 0, size)
+	out := make([]KV, 0, found)
+	for i, h := range hits {
+		if h.kind == kindPut {
+			vo := len(arena)
+			arena = append(arena, h.value...)
+			out = append(out, KV{Key: keys[i], Value: arena[vo:len(arena):len(arena)]})
+		}
+	}
+	return out, end, nil
+}
+
+// lookupLocked resolves keys into hits. Sources are consulted newest
+// first: the memtable, then every table level by level. A table is
+// consulted only for still-unresolved keys inside its [minKey, maxKey]
+// that its bloom filter may contain, each data block it needs is read
+// once, and a tombstone ends the search for its key. The CPU charge is
+// CPUPerEntryRead per key looked up.
+func (s *Store) lookupLocked(at vtime.Time, keys [][]byte, hits []keyHit) (vtime.Time, error) {
+	s.stats.Gets++
+	at = s.chargeCPU(at, len(keys), s.cfg.CPUPerEntryRead)
+	pending := len(keys)
+	for i, k := range keys {
+		if e, ok := s.mem.get(k); ok {
+			hits[i] = keyHit{value: e.value, kind: e.kind}
+			pending--
+		}
 	}
 	c := &cursor{at: at}
 	for _, tables := range s.levels {
 		for _, t := range tables {
-			e, ok, err := t.get(c, key)
+			if pending == 0 {
+				return c.at, nil
+			}
+			n, err := t.lookup(c, keys, hits)
 			if err != nil {
-				return nil, false, c.at, err
+				return c.at, err
 			}
-			if ok {
-				if e.kind == kindDelete {
-					return nil, false, c.at, nil
-				}
-				return e.value, true, c.at, nil
-			}
+			pending -= n
 		}
 	}
-	return nil, false, c.at, nil
+	return c.at, nil
 }
 
 // kvSpan locates one decoded pair inside a scan arena.
@@ -410,7 +476,7 @@ func (s *Store) Scan(at vtime.Time, lo, hi []byte, limit int) ([]KV, vtime.Time,
 	defer s.mu.Unlock()
 	s.stats.Scans++
 	c := &cursor{at: at}
-	it, err := s.mergeIterLocked(c, lo)
+	it, err := s.mergeIterLocked(c, lo, hi)
 	if err != nil {
 		return nil, c.at, err
 	}
@@ -477,10 +543,16 @@ func (s *Store) DeleteRange(at vtime.Time, lo, hi []byte) (int, vtime.Time, erro
 	return len(kvs), end, err
 }
 
-func (s *Store) mergeIterLocked(c *cursor, start []byte) (*mergeIter, error) {
+// mergeIterLocked merges the memtable with every table whose key range
+// meets [start, hi) (hi empty means unbounded); a table wholly outside
+// the range would only cost a block read for entries the caller drops.
+func (s *Store) mergeIterLocked(c *cursor, start, hi []byte) (*mergeIter, error) {
 	sources := []iterator{memIterAdapter{s.mem.iter(start)}}
 	for _, tables := range s.levels {
 		for _, t := range tables {
+			if !t.overlaps(start, hi) {
+				continue
+			}
 			ti, err := newTableIter(c, t, start)
 			if err != nil {
 				return nil, err

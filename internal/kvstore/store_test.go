@@ -391,6 +391,13 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			if ok != wantOK || (ok && string(v) != want) {
 				t.Fatalf("step %d: Get(%q) = %q,%v want %q,%v", step, k, v, ok, want, wantOK)
 			}
+			// The same key among others, in any order, duplicates allowed.
+			keys := [][]byte{[]byte(k)}
+			for n := rng.Intn(12); n > 0; n-- {
+				keys = append(keys, []byte(key()))
+			}
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			checkGetKeys(t, s, model, keys)
 		case op < 95: // range scan
 			lo := fmt.Sprintf("key%03d", rng.Intn(300))
 			hi := fmt.Sprintf("key%03d", rng.Intn(300))
@@ -416,6 +423,165 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 		default: // reopen (recovery)
 			s = mustOpen(t, f, cfg)
+		}
+	}
+}
+
+// checkGetKeys asserts that GetKeys returns exactly the model's live
+// pairs for keys, in the order of keys.
+func checkGetKeys(t *testing.T, s *Store, model map[string]string, keys [][]byte) {
+	t.Helper()
+	kvs, _, err := s.GetKeys(0, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, k := range keys {
+		if v, ok := model[string(k)]; ok {
+			want = append(want, string(k)+"="+v)
+		}
+	}
+	var got []string
+	for _, kv := range kvs {
+		got = append(got, string(kv.Key)+"="+string(kv.Value))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("GetKeys(%q) = %v want %v", keys, got, want)
+	}
+}
+
+// A contiguous run of keys looked up exactly returns what a scan of the
+// run returns, across tables of several levels, tombstones and the
+// memtable.
+func TestGetKeysMatchesScan(t *testing.T) {
+	s := mustOpen(t, newTestFile(t, 64), smallConfig())
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1500; i++ {
+		var b Batch
+		k := []byte(fmt.Sprintf("key%03d", rng.Intn(400)))
+		if rng.Intn(4) == 0 {
+			b.Delete(k)
+		} else {
+			b.Put(k, []byte(fmt.Sprintf("%0128d", i)))
+		}
+		if _, err := s.Apply(0, &b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Flushes == 0 || st.Compactions == 0 {
+		t.Fatalf("want tables on several levels, got %+v", st)
+	}
+	for lo := 0; lo < 400; lo += 37 {
+		hi := lo + 1 + rng.Intn(60)
+		var keys [][]byte
+		for k := lo; k < hi; k++ {
+			keys = append(keys, []byte(fmt.Sprintf("key%03d", k)))
+		}
+		got, _, err := s.GetKeys(0, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := s.Scan(0, keys[0], []byte(fmt.Sprintf("key%03d", hi)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("[%d,%d): GetKeys found %d, Scan %d", lo, hi, len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("[%d,%d) pair %d: GetKeys %q=%q, Scan %q=%q", lo, hi, i,
+					got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+			}
+		}
+	}
+}
+
+// deviceReads returns the number of read commands f's disk has served.
+func deviceReads(f *simdisk.Partition) int64 { return f.Disk().Stats().ReadOps }
+
+// A one-key lookup of a present key reads exactly one SST block, even
+// when other tables' key ranges cover the key: their bloom filters turn
+// it away.
+func TestGetKeysOneKeyReadsOneBlock(t *testing.T) {
+	f := newTestFile(t, 16)
+	cfg := smallConfig()
+	cfg.Fanout = 8 // keep three overlapping level-0 tables
+	s := mustOpen(t, f, cfg)
+	for table := 0; table < 3; table++ {
+		var b Batch
+		for i := table; i < 300; i += 3 {
+			b.Put([]byte(fmt.Sprintf("key%03d", i)), []byte("v"))
+		}
+		if _, err := s.Apply(0, &b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.TableCounts()[0]; got != 3 {
+		t.Fatalf("level 0 holds %d tables, want 3", got)
+	}
+	for _, k := range []string{"key000", "key151", "key299"} {
+		before := deviceReads(f)
+		v, ok, _, err := s.Get(0, []byte(k))
+		if err != nil || !ok || string(v) != "v" {
+			t.Fatalf("Get(%q) = %q,%v,%v", k, v, ok, err)
+		}
+		if n := deviceReads(f) - before; n != 1 {
+			t.Fatalf("Get(%q) read %d blocks, want 1", k, n)
+		}
+	}
+	// Each table holds its third of a run in one block, and a call reads
+	// each block it needs once, whatever the number of keys in it.
+	var keys [][]byte
+	for i := 30; i < 60; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("key%03d", i)))
+	}
+	before := deviceReads(f)
+	kvs, _, err := s.GetKeys(0, keys)
+	if err != nil || len(kvs) != len(keys) {
+		t.Fatalf("GetKeys found %d of %d: %v", len(kvs), len(keys), err)
+	}
+	if n := deviceReads(f) - before; n != 3 {
+		t.Fatalf("GetKeys over three tables read %d blocks, want 3", n)
+	}
+}
+
+// A scan reads no block of a table whose key range lies wholly outside
+// the scanned range.
+func TestScanSkipsTablesOutsideRange(t *testing.T) {
+	f := newTestFile(t, 16)
+	s := mustOpen(t, f, smallConfig())
+	for _, prefix := range []string{"a", "c"} {
+		for i := 0; i < 50; i++ {
+			apply1(t, s, fmt.Sprintf("%s%02d", prefix, i), "x")
+		}
+		if _, err := s.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		lo, hi       string
+		pairs, reads int
+	}{
+		{"c10", "c20", 10, 1}, // only the c table
+		{"a10", "a20", 10, 1}, // only the a table
+		{"b", "b9", 0, 0},     // the gap between them
+		{"d", "", 0, 0},       // past both
+		{"a45", "c05", 10, 2}, // both
+	} {
+		before := deviceReads(f)
+		kvs, _, err := s.Scan(0, []byte(tc.lo), []byte(tc.hi), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kvs) != tc.pairs {
+			t.Fatalf("Scan[%q,%q) = %d pairs, want %d", tc.lo, tc.hi, len(kvs), tc.pairs)
+		}
+		if n := deviceReads(f) - before; n != int64(tc.reads) {
+			t.Fatalf("Scan[%q,%q) read %d blocks, want %d", tc.lo, tc.hi, n, tc.reads)
 		}
 	}
 }
@@ -507,19 +673,24 @@ func TestTableGetAcrossBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lookup1 := func(key string) (keyHit, error) {
+		hits := make([]keyHit, 1)
+		_, err := got.lookup(c, [][]byte{[]byte(key)}, hits)
+		return hits[0], err
+	}
 	for i := 0; i < 200; i++ {
-		e, ok, err := got.get(c, []byte(fmt.Sprintf("key%04d", i)))
-		if err != nil || !ok {
-			t.Fatalf("key%04d: %v %v", i, ok, err)
+		h, err := lookup1(fmt.Sprintf("key%04d", i))
+		if err != nil || h.kind != kindPut {
+			t.Fatalf("key%04d: %v %v", i, h.kind, err)
 		}
-		if !bytes.Equal(e.value, val) {
+		if !bytes.Equal(h.value, val) {
 			t.Fatalf("key%04d value mismatch", i)
 		}
 	}
-	if _, ok, _ := got.get(c, []byte("zzz")); ok {
+	if h, _ := lookup1("zzz"); h.kind != 0 {
 		t.Fatal("phantom key")
 	}
-	if _, ok, _ := got.get(c, []byte("aaa")); ok {
+	if h, _ := lookup1("aaa"); h.kind != 0 {
 		t.Fatal("phantom key below range")
 	}
 }

@@ -147,6 +147,10 @@ func (w *wal) replay(c *cursor, epoch uint64, fn replayFunc) error {
 				bad = true
 				break
 			}
+			// Copy out of the log buffer, so the memtable does not pin
+			// the whole region.
+			e.key = append([]byte(nil), e.key...)
+			e.value = append([]byte(nil), e.value...)
 			e.seq = seqBase + uint64(i)
 			p += n
 			entries = append(entries, e)

@@ -25,6 +25,11 @@ func fuzzSeedRequests() [][]byte {
 			{Kind: OpGetAttr, Key: []byte("a")},
 			{Kind: OpOmapDel, Pairs: []Pair{{Key: []byte("x")}}},
 		}},
+		{Pool: "rbd", Object: "rbd_data.img.0002", Ops: []Op{
+			{Kind: OpRead, Off: 0, Len: 4096},
+			{Kind: OpOmapGetKeys, Pairs: []Pair{{Key: []byte("iv.\x00\x00\x00\x00\x00\x00\x00\x00")}, {Key: []byte("iv.\x00\x00\x00\x00\x00\x00\x00\x01")}}},
+			{Kind: OpStat},
+		}},
 	}
 	out := make([][]byte, len(reqs))
 	for i, q := range reqs {

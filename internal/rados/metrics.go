@@ -54,11 +54,11 @@ var (
 	// Per-kind client counters pre-resolved into an array indexed by
 	// OpKind, so the request loop records with one bounds check and no
 	// map lookup.
-	mClientOps [OpSetAttr + 1]*telemetry.Counter
+	mClientOps [numOpKinds]*telemetry.Counter
 )
 
 func init() {
-	for k := OpRead; k <= OpSetAttr; k++ {
+	for k := OpRead; k < numOpKinds; k++ {
 		mClientOps[k] = mClientOpsVec.With(k.String())
 	}
 }
@@ -69,7 +69,7 @@ func init() {
 // string.
 type osdMetrics struct {
 	primary, replica *telemetry.Counter
-	ops              [OpSetAttr + 1]*telemetry.Counter
+	ops              [numOpKinds]*telemetry.Counter
 	bytes, errors    *telemetry.Counter
 	serveLat         *telemetry.Histogram
 	replications     *telemetry.Counter
@@ -91,7 +91,7 @@ func newOSDMetrics(id int) *osdMetrics {
 		serveHop:     "osd" + osd + ":serve",
 		replHop:      "osd" + osd + ":replicate",
 	}
-	for k := OpRead; k <= OpSetAttr; k++ {
+	for k := OpRead; k < numOpKinds; k++ {
 		m.ops[k] = mOSDOpsVec.With(k.String(), osd)
 	}
 	return m
@@ -111,7 +111,7 @@ func newDeviceMetrics(id int) *simdisk.DeviceMetrics {
 
 // countOps records the per-kind op counters and returns the request's
 // payload byte weight (write-side data plus read-side lengths).
-func countOps(ops []Op, perKind *[OpSetAttr + 1]*telemetry.Counter) int64 {
+func countOps(ops []Op, perKind *[numOpKinds]*telemetry.Counter) int64 {
 	var bytes int64
 	for i := range ops {
 		op := &ops[i]

@@ -619,15 +619,31 @@ func (o *OSD) executeRead(at vtime.Time, st *blobstore.Store, fullName string, r
 			if err != nil {
 				return nil, at, err
 			}
-			pairs := make([]Pair, len(kvs))
-			for j, kv := range kvs {
-				pairs[j] = Pair{Key: kv.Key, Value: kv.Value}
+			results[i] = Result{Status: StatusOK, Pairs: wirePairs(kvs)}
+			end = vtime.Max(end, e)
+		case OpOmapGetKeys:
+			keys := make([][]byte, len(op.Pairs))
+			for j, p := range op.Pairs {
+				keys[j] = p.Key
 			}
-			results[i] = Result{Status: StatusOK, Pairs: pairs}
+			kvs, e, err := st.OmapGetKeys(at, src, keys)
+			if err != nil {
+				return nil, at, err
+			}
+			results[i] = Result{Status: StatusOK, Pairs: wirePairs(kvs)}
 			end = vtime.Max(end, e)
 		default:
 			return nil, at, fmt.Errorf("%w: %v in read request", ErrInvalid, op.Kind)
 		}
 	}
 	return results, end, nil
+}
+
+// wirePairs converts store pairs to result pairs, sharing their bytes.
+func wirePairs(kvs []blobstore.KVPair) []Pair {
+	pairs := make([]Pair, len(kvs))
+	for i, kv := range kvs {
+		pairs[i] = Pair{Key: kv.Key, Value: kv.Value}
+	}
+	return pairs
 }

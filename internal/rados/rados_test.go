@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -208,6 +209,44 @@ func TestAtomicDataPlusOmapTxn(t *testing.T) {
 	if len(res[0].Pairs) != 1 || !bytes.Equal(res[0].Pairs[0].Value, iv) {
 		t.Fatalf("omap readback: %+v", res[0].Pairs)
 	}
+	// The exact-key read returns only the keys present.
+	res, _, err = cl.Operate(0, "rbd", "obj", SnapContext{}, 0, []Op{
+		{Kind: OpOmapGetKeys, Pairs: []Pair{{Key: []byte("iv.1")}, {Key: []byte("iv.0")}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res[0].Pairs) != 1 || string(res[0].Pairs[0].Key) != "iv.0" || !bytes.Equal(res[0].Pairs[0].Value, iv) {
+		t.Fatalf("omap exact-key readback: %+v", res[0].Pairs)
+	}
+}
+
+// Every op kind has a name, per-kind client and OSD counters and the
+// right Mutates: a read-only kind the OSD took for a write would be
+// replicated, and rejected by the write path.
+func TestOpKindTables(t *testing.T) {
+	readOnly := map[OpKind]bool{OpRead: true, OpStat: true, OpGetAttr: true, OpOmapGetRange: true, OpOmapGetKeys: true}
+	osd := newOSDMetrics(0)
+	names := map[string]OpKind{}
+	for k := OpRead; k < numOpKinds; k++ {
+		name := k.String()
+		if strings.HasPrefix(name, "op(") {
+			t.Errorf("kind %d has no name", k)
+		}
+		if prev, dup := names[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		names[name] = k
+		if mClientOps[k] == nil || osd.ops[k] == nil {
+			t.Errorf("%v has no per-kind counter", k)
+		}
+		if k.Mutates() == readOnly[k] {
+			t.Errorf("%v: Mutates() = %v", k, k.Mutates())
+		}
+	}
+	if got := numOpKinds.String(); got != fmt.Sprintf("op(%d)", numOpKinds) {
+		t.Errorf("sentinel named %q", got)
+	}
 }
 
 func TestAttrOps(t *testing.T) {
@@ -329,12 +368,15 @@ func TestSnapshotOmapCloned(t *testing.T) {
 
 	res, _, err := cl.Operate(0, "rbd", "obj", SnapContext{}, 1, []Op{
 		{Kind: OpOmapGetRange, Key: []byte("iv."), Key2: []byte("iv/")},
+		{Kind: OpOmapGetKeys, Pairs: []Pair{{Key: []byte("iv.0")}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res[0].Pairs) != 1 || string(res[0].Pairs[0].Value) != "iv-v1" {
-		t.Fatalf("snapshot omap: %+v", res[0].Pairs)
+	for i, r := range res {
+		if len(r.Pairs) != 1 || string(r.Pairs[0].Value) != "iv-v1" {
+			t.Fatalf("snapshot omap, op %d: %+v", i, r.Pairs)
+		}
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 type OpKind uint8
 
 // Operation kinds. Writes (everything except OpRead, OpStat, OpGetAttr,
-// OpOmapGetRange) mutate and are replicated.
+// OpOmapGetRange, OpOmapGetKeys) mutate and are replicated. The values
+// are wire numbers: new kinds go last.
 const (
 	OpRead OpKind = iota + 1
 	OpWrite
@@ -32,6 +33,9 @@ const (
 	OpOmapGetRange
 	OpGetAttr
 	OpSetAttr
+	OpOmapGetKeys
+
+	numOpKinds // one past the last kind; sizes per-kind tables
 )
 
 // String implements fmt.Stringer.
@@ -57,6 +61,8 @@ func (k OpKind) String() string {
 		return "getattr"
 	case OpSetAttr:
 		return "setattr"
+	case OpOmapGetKeys:
+		return "omap-get-keys"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(k))
 	}
@@ -65,7 +71,7 @@ func (k OpKind) String() string {
 // Mutates reports whether the op kind changes object state.
 func (k OpKind) Mutates() bool {
 	switch k {
-	case OpRead, OpStat, OpGetAttr, OpOmapGetRange:
+	case OpRead, OpStat, OpGetAttr, OpOmapGetRange, OpOmapGetKeys:
 		return false
 	}
 	return true
@@ -89,6 +95,11 @@ type Pair struct {
 //	OpOmapGetRange: Key (lo), Key2 (hi, empty = end), Len (limit, 0 = all)
 //	OpGetAttr:      Key
 //	OpSetAttr:      Key, Data
+//	OpOmapGetKeys:  Pairs (keys only); the result's Pairs hold the keys
+//	                found, in request order
+//
+// Results: OpRead and OpGetAttr return Data, OpStat returns Size, and
+// the two OMAP reads return Pairs.
 type Op struct {
 	Kind  OpKind
 	Off   int64

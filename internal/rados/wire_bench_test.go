@@ -222,6 +222,11 @@ func TestTypedBytePathParity(t *testing.T) {
 		{"snap-write", []Op{{Kind: OpWrite, Off: 0, Data: bytes.Repeat([]byte{3}, 4096)}}, SnapContext{Seq: 1}},
 		{"read", []Op{{Kind: OpRead, Off: 0, Len: 12288}}, SnapContext{}},
 		{"omap-range", []Op{{Kind: OpOmapGetRange, Key: []byte("iv."), Key2: []byte("iv/")}}, SnapContext{}},
+		{"omap-keys", []Op{
+			{Kind: OpRead, Off: 4096, Len: 8192},
+			{Kind: OpOmapGetKeys, Pairs: []Pair{{Key: []byte("iv.1")}, {Key: []byte("iv.2")}, {Key: []byte("iv.0")}}},
+			{Kind: OpStat},
+		}, SnapContext{}},
 		{"stat-attr", []Op{{Kind: OpStat}}, SnapContext{}},
 	}
 

@@ -15,6 +15,7 @@
 package simdisk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -273,16 +274,13 @@ func (d *Disk) ReadSectors(at vtime.Time, sector, n int64, p []byte) (vtime.Time
 		rot = false
 	}
 	d.mu.RLock()
-	for i := int64(0); i < n; i++ {
-		s := sector + i
-		chunk, off := s/chunkSectors, (s%chunkSectors)*SectorSize
-		dst := p[i*SectorSize : (i+1)*SectorSize]
+	chunkRuns(sector, n, func(chunk, off, lo, hi int64) {
 		if c, ok := d.chunks[chunk]; ok {
-			copy(dst, c[off:off+SectorSize])
+			copy(p[lo:hi], c[off:])
 		} else {
-			clear(dst)
+			clear(p[lo:hi])
 		}
-	}
+	})
 	d.mu.RUnlock()
 	if rot {
 		// Transient rot: the media is fine, this transfer is not.
@@ -327,21 +325,24 @@ func (d *Disk) WriteSectors(at vtime.Time, sector, n int64, p []byte) (vtime.Tim
 		tornErr = fmt.Errorf("%s: write sector %d count %d persisted %d: %w",
 			d.name, sector, n, persist, fault.ErrTornWrite)
 	}
-	eph := d.ephemeralFrom.Load()
+	// Sectors in the cost-only region are counted but their payload is
+	// discarded.
+	retained := min(persist, max(d.ephemeralFrom.Load()-sector, 0))
 	d.mu.Lock()
-	for i := int64(0); i < persist; i++ {
-		s := sector + i
-		if s >= eph {
-			continue // cost-only region: payload discarded
-		}
-		chunk, off := s/chunkSectors, (s%chunkSectors)*SectorSize
-		c, ok := d.chunks[chunk]
-		if !ok {
+	chunkRuns(sector, retained, func(chunk, off, lo, hi int64) {
+		src := p[lo:hi]
+		switch c, ok := d.chunks[chunk]; {
+		case ok:
+			copy(c[off:], src)
+		case len(src) == chunkSectors*SectorSize:
+			// The write covers the whole chunk: no zero fill first.
+			d.chunks[chunk] = bytes.Clone(src)
+		default:
 			c = make([]byte, chunkSectors*SectorSize)
+			copy(c[off:], src)
 			d.chunks[chunk] = c
 		}
-		copy(c[off:off+SectorSize], p[i*SectorSize:(i+1)*SectorSize])
-	}
+	})
 	d.mu.Unlock()
 	d.writeOps.Add(1)
 	d.sectorsWritten.Add(persist)
@@ -358,6 +359,18 @@ func (d *Disk) WriteSectors(at vtime.Time, sector, n int64, p []byte) (vtime.Tim
 	}
 	attr.Observe(attr.OpWrite, attr.PhaseDevice, end.Sub(at))
 	return end, nil
+}
+
+// chunkRuns calls fn once for each run of the n sectors from sector that
+// lies in one backing chunk, with the chunk index, the run's byte offset
+// in the chunk and its byte range [lo, hi) in the command's buffer.
+func chunkRuns(sector, n int64, fn func(chunk, off, lo, hi int64)) {
+	for i := int64(0); i < n; {
+		s := sector + i
+		run := min(chunkSectors-s%chunkSectors, n-i)
+		fn(s/chunkSectors, s%chunkSectors*SectorSize, i*SectorSize, (i+run)*SectorSize)
+		i += run
+	}
 }
 
 // ReadAt implements byte-granular reads for convenience layers (for

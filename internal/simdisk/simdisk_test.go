@@ -307,6 +307,50 @@ func TestByteGranularModelProperty(t *testing.T) {
 	}
 }
 
+// Multi-sector commands copy one run per backing chunk: writes and reads
+// that cross chunk boundaries, cover whole chunks (fresh or already
+// backed) or reach into the cost-only region agree with a flat model.
+func TestChunkRunsAgainstModel(t *testing.T) {
+	const sectors = 4*chunkSectors + 17
+	const eph = 3*chunkSectors + 100 // cost-only from mid-chunk
+	d := testDisk(sectors)
+	d.SetEphemeralFrom(eph)
+	model := make([]byte, sectors*SectorSize)
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 200; step++ {
+		var first, n int64
+		switch rng.Intn(4) {
+		case 0: // exactly one chunk
+			first, n = int64(rng.Intn(4))*chunkSectors, chunkSectors
+		case 1: // a chunk and a half from a chunk boundary
+			first, n = int64(rng.Intn(3))*chunkSectors, chunkSectors+chunkSectors/2
+		default:
+			first = rng.Int63n(sectors)
+			n = 1 + rng.Int63n(min(sectors-first, 2*chunkSectors+3))
+		}
+		p := make([]byte, n*SectorSize)
+		rng.Read(p)
+		if _, err := d.WriteSectors(0, first, n, p); err != nil {
+			t.Fatal(err)
+		}
+		if keep := min(first+n, eph); keep > first {
+			copy(model[first*SectorSize:keep*SectorSize], p)
+		}
+		lo := rng.Int63n(sectors)
+		m := 1 + rng.Int63n(sectors-lo)
+		got := bytes.Repeat([]byte{0xEE}, int(m*SectorSize)) // stale buffer
+		if _, err := d.ReadSectors(0, lo, m, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, model[lo*SectorSize:(lo+m)*SectorSize]) {
+			t.Fatalf("step %d: read [%d,+%d) after write [%d,+%d) differs from the model", step, lo, m, first, n)
+		}
+	}
+	if st := d.Stats(); st.SectorsWritten == 0 || st.WriteOps != 200 {
+		t.Fatalf("stats %v", st)
+	}
+}
+
 func TestDefaultCostModelSane(t *testing.T) {
 	cm := DefaultCostModel()
 	if cm.Channels < 1 || cm.ReadCost.Fixed <= 0 || cm.WriteCost.Fixed <= 0 {
